@@ -12,7 +12,8 @@
 // would force every benchmark PR to land in two commits. Benchmarks
 // present only in the baseline fail the gate — a vanished benchmark
 // usually means a deleted or broken bench, which is exactly the kind
-// of silent trajectory gap the gate exists to catch.
+// of silent trajectory gap the gate exists to catch. A document
+// recorded with -count=N gates on each benchmark's median repetition.
 //
 // Usage:
 //
@@ -172,9 +173,11 @@ func Compare(base, curr Document, thresholdPct, allocThresholdPct float64) (stri
 
 // index keys every result carrying the named metric by
 // package/name-procs. For ns/op, the top-level ns_per_op field is
-// preferred over the metrics map when present.
+// preferred over the metrics map when present. A benchmark repeated in
+// one document (go test -count=N) is represented by the median of its
+// repetitions.
 func index(doc Document, metric string) map[string]float64 {
-	m := make(map[string]float64, len(doc.Results))
+	runs := make(map[string][]float64, len(doc.Results))
 	for _, r := range doc.Results {
 		v := r.Metrics[metric]
 		if metric == "ns/op" && r.NsPerOp != 0 {
@@ -183,7 +186,14 @@ func index(doc Document, metric string) map[string]float64 {
 		if v <= 0 {
 			continue
 		}
-		m[fmt.Sprintf("%s/%s-%d", r.Package, r.Name, r.Procs)] = v
+		key := fmt.Sprintf("%s/%s-%d", r.Package, r.Name, r.Procs)
+		runs[key] = append(runs[key], v)
+	}
+	m := make(map[string]float64, len(runs))
+	for key, vs := range runs {
+		sort.Float64s(vs)
+		n := len(vs)
+		m[key] = (vs[(n-1)/2] + vs[n/2]) / 2
 	}
 	return m
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -162,24 +163,56 @@ func TestCompareAllocGate(t *testing.T) {
 	}
 }
 
+// TestCompareMedianOfRepeats pins how a -count=N document is read:
+// each benchmark is its repetitions' median, so one outlier run
+// neither fails nor excuses the gate.
+func TestCompareMedianOfRepeats(t *testing.T) {
+	const pkg, name = "seqpoint/internal/serving", "BenchmarkFleetRoute/R=16"
+	base := doc(res(pkg, name, 900), res(pkg, name, 1000), res(pkg, name, 5000))
+	if got := index(base, "ns/op")[pkg+"/"+name+"-1"]; got != 1000 {
+		t.Fatalf("median of 900, 1000, 5000 = %v, want 1000", got)
+	}
+	if got := index(doc(res(pkg, name, 100), res(pkg, name, 300)), "ns/op")[pkg+"/"+name+"-1"]; got != 200 {
+		t.Fatalf("median of 100, 300 = %v, want 200", got)
+	}
+	curr := doc(res(pkg, name, 1200), res(pkg, name, 400), res(pkg, name, 1100))
+	if report, ok, err := Compare(base, curr, 25, 10); err != nil || !ok {
+		t.Fatalf("median 1100 vs 1000 is within 25%%; ok=%v err=%v\n%s", ok, err, report)
+	}
+	curr = doc(res(pkg, name, 1300), res(pkg, name, 1400), res(pkg, name, 200))
+	if report, ok, err := Compare(base, curr, 25, 10); err != nil || ok {
+		t.Fatalf("median 1300 vs 1000 regressed 30%%; ok=%v err=%v\n%s", ok, err, report)
+	}
+}
+
 // TestGateCommittedBaseline runs the gate over the repo's committed
-// artifacts: the latest snapshot against itself must pass (guards that
-// the committed files stay parseable in benchjson's format), and each
+// artifacts: each snapshot against itself must pass (guards that the
+// committed files stay parseable in benchjson's format), and each
 // snapshot against its predecessor must also pass — the trajectory
 // only ever improved.
 func TestGateCommittedBaseline(t *testing.T) {
-	pr10, err := filepath.Abs("../../BENCH_pr10.json")
+	pr12, err := filepath.Abs("../../BENCH_pr12.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(pr10); err != nil {
+	if _, err := os.Stat(pr12); err != nil {
 		t.Skipf("committed baseline not found: %v", err)
 	}
-	report, ok, err := Gate(pr10, pr10, 25, 10)
-	if err != nil || !ok {
-		t.Fatalf("self-comparison failed; ok=%v err=%v\n%s", ok, err, report)
+	dir := filepath.Dir(pr12)
+	pr10 := filepath.Join(dir, "BENCH_pr10.json")
+	for _, snap := range []string{pr10, pr12} {
+		report, ok, err := Gate(snap, snap, 25, 10)
+		if err != nil || !ok {
+			t.Fatalf("%s self-comparison failed; ok=%v err=%v\n%s", filepath.Base(snap), ok, err, report)
+		}
 	}
-	dir := filepath.Dir(pr10)
+	// The indexed-routing snapshot was recorded with five repetitions on
+	// different hardware than its predecessor, so wall time does not
+	// compare across the two; allocation counts do, and must hold.
+	report, ok, err := Gate(pr10, pr12, math.Inf(1), 10)
+	if err != nil || !ok {
+		t.Fatalf("BENCH_pr12.json allocation counts regressed against BENCH_pr10.json; ok=%v err=%v\n%s", ok, err, report)
+	}
 	seed := filepath.Join(dir, "BENCH_seed.json")
 	pr6 := filepath.Join(dir, "BENCH_pr6.json")
 	pr7 := filepath.Join(dir, "BENCH_pr7.json")

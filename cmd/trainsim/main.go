@@ -102,7 +102,6 @@ func mainExit() int {
 		routing  = flag.String("routing", serving.RoutingRoundRobin, "(with -serve) fleet routing: rr, least, jsq or po2")
 		queueCap = flag.Int("queue-cap", 0, "(with -serve) per-replica admission queue bound (0 = unbounded)")
 		autoScal = flag.Bool("autoscale", false, "(with -serve) autoscale the fleet between 1 and -replicas on queue depth")
-		simPar   = flag.Int("sim-parallelism", 0, "(with -serve) advance independent replicas on this many goroutines between routing barriers (0/1 = serial; output is byte-identical)")
 		kvCapGB  = flag.Float64("kv-capacity-gb", 0, "(with -serve) per-replica KV-cache capacity in GB; 0 disables the memory model")
 		kvSteps  = flag.Int("decode-steps", 0, "(with -serve -kv-capacity-gb) decode steps per request")
 		kvPre    = flag.String("kv-preempt", "", "(with -serve -kv-capacity-gb) over-capacity behavior: evict or block")
@@ -163,10 +162,9 @@ func mainExit() int {
 		mode = "plan"
 	}
 	var visited []string
-	routingSet, simParSet, rateSet := false, false, false
+	routingSet, rateSet := false, false
 	flag.Visit(func(f *flag.Flag) {
 		routingSet = routingSet || f.Name == "routing"
-		simParSet = simParSet || f.Name == "sim-parallelism"
 		rateSet = rateSet || f.Name == "rate"
 		visited = append(visited, f.Name)
 	})
@@ -201,12 +199,11 @@ func mainExit() int {
 		kvCfg, disaggCfg, err := kvFromFlags(*kvCapGB, *kvSteps, *kvPre, *disagg, *replicas)
 		if err == nil {
 			// Any fleet-only knob — including an explicit -routing, a
-			// bounded queue, a pool split, or replica-advancement
-			// parallelism on a single replica — selects the fleet
-			// simulator, so no flag is ever silently ignored.
-			if *replicas > 1 || *autoScal || *queueCap > 0 || routingSet || simParSet || disaggCfg != nil {
+			// bounded queue or a pool split on a single replica — selects
+			// the fleet simulator, so no flag is ever silently ignored.
+			if *replicas > 1 || *autoScal || *queueCap > 0 || routingSet || disaggCfg != nil {
 				err = runFleet(*model, *cfgIdx, *batch, *seed, *rate, *policy, *requests, *timeout,
-					*replicas, *routing, *queueCap, *autoScal, *simPar, kvCfg, disaggCfg, arr)
+					*replicas, *routing, *queueCap, *autoScal, kvCfg, disaggCfg, arr)
 			} else {
 				err = runServe(*model, *cfgIdx, *batch, *seed, *rate, *policy, *requests, *timeout, kvCfg, arr)
 			}
@@ -240,8 +237,7 @@ var (
 		"overlap": true, "epochs": true, "o": true, "trace-sl": true, "trace-o": true,
 	}
 	fleetOnlyFlags = map[string]bool{
-		"replicas": true, "routing": true, "autoscale": true,
-		"sim-parallelism": true, "disagg": true,
+		"replicas": true, "routing": true, "autoscale": true, "disagg": true,
 	}
 	serveOnlyFlags = map[string]bool{
 		"tenants": true, "pattern": true, "trace-out": true, "trace-in": true,
@@ -505,7 +501,7 @@ func addKVRows(t *report.Table, meanTTFT, p99TTFT float64, preemptions int, peak
 // roll-up.
 func runFleet(model string, cfgIdx, batch int, seed int64, rate float64, policyName string,
 	requests int, timeoutUS float64, replicas int, routingName string, queueCap int,
-	autoscale bool, simParallelism int, kv *serving.KVConfig, disagg *serving.DisaggConfig,
+	autoscale bool, kv *serving.KVConfig, disagg *serving.DisaggConfig,
 	arr arrivalSpec) error {
 	cfgs := gpusim.TableII()
 	if cfgIdx < 1 || cfgIdx > len(cfgs) {
@@ -532,15 +528,14 @@ func runFleet(model string, cfgIdx, batch int, seed int64, rate float64, policyN
 		return err
 	}
 	spec := serving.FleetSpec{
-		Model:       w.Model,
-		Trace:       trace,
-		Policy:      pol,
-		Router:      router,
-		Replicas:    replicas,
-		QueueCap:    queueCap,
-		Parallelism: simParallelism,
-		KV:          kv,
-		Disagg:      disagg,
+		Model:    w.Model,
+		Trace:    trace,
+		Policy:   pol,
+		Router:   router,
+		Replicas: replicas,
+		QueueCap: queueCap,
+		KV:       kv,
+		Disagg:   disagg,
 	}
 	if autoscale {
 		// Scale between one replica and the flag's fleet size: up past

@@ -158,20 +158,20 @@ func TestRunServeAndFleet(t *testing.T) {
 	if err := runServe("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, nil, arrivalSpec{}); err != nil {
 		t.Errorf("runServe: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "jsq", 64, false, 0, nil, nil, arrivalSpec{}); err != nil {
+	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "jsq", 64, false, nil, nil, arrivalSpec{}); err != nil {
 		t.Errorf("runFleet: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 2, "po2", 0, true, 0, nil, nil, arrivalSpec{}); err != nil {
+	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 2, "po2", 0, true, nil, nil, arrivalSpec{}); err != nil {
 		t.Errorf("runFleet autoscale: %v", err)
 	}
 	kv := &serving.KVConfig{CapacityBytes: 0.05e9, DecodeSteps: 16}
 	if err := runServe("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, kv, arrivalSpec{}); err != nil {
 		t.Errorf("runServe kv: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "kv", 64, false, 0, kv, nil, arrivalSpec{}); err != nil {
+	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "kv", 64, false, kv, nil, arrivalSpec{}); err != nil {
 		t.Errorf("runFleet kv routing: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "rr", 64, false, 0, kv,
+	if err := runFleet("gnmt", 1, 8, 1, 600, "dynamic", 48, 20000, 3, "rr", 64, false, kv,
 		&serving.DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 2}, arrivalSpec{}); err != nil {
 		t.Errorf("runFleet disagg: %v", err)
 	}
@@ -180,19 +180,19 @@ func TestRunServeAndFleet(t *testing.T) {
 	if err := runServe("gnmt", 9, 8, 1, 300, "dynamic", 48, 20000, nil, arrivalSpec{}); err == nil {
 		t.Error("config out of range should error")
 	}
-	if err := runFleet("gnmt", 0, 8, 1, 300, "dynamic", 48, 20000, 2, "rr", 0, false, 0, nil, nil, arrivalSpec{}); err == nil {
+	if err := runFleet("gnmt", 0, 8, 1, 300, "dynamic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
 		t.Error("config out of range should error")
 	}
-	if err := runFleet("cnn", 1, 8, 1, 300, "dynamic", 48, 20000, 2, "rr", 0, false, 0, nil, nil, arrivalSpec{}); err == nil {
+	if err := runFleet("cnn", 1, 8, 1, 300, "dynamic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
 		t.Error("cnn is not servable")
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 300, "magic", 48, 20000, 2, "rr", 0, false, 0, nil, nil, arrivalSpec{}); err == nil {
+	if err := runFleet("gnmt", 1, 8, 1, 300, "magic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
 		t.Error("unknown policy should error")
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, 2, "torus", 0, false, 0, nil, nil, arrivalSpec{}); err == nil {
+	if err := runFleet("gnmt", 1, 8, 1, 300, "dynamic", 48, 20000, 2, "torus", 0, false, nil, nil, arrivalSpec{}); err == nil {
 		t.Error("unknown routing should error")
 	}
-	if err := runFleet("gnmt", 1, 8, 1, -5, "dynamic", 48, 20000, 2, "rr", 0, false, 0, nil, nil, arrivalSpec{}); err == nil {
+	if err := runFleet("gnmt", 1, 8, 1, -5, "dynamic", 48, 20000, 2, "rr", 0, false, nil, nil, arrivalSpec{}); err == nil {
 		t.Error("negative rate should error")
 	}
 }
@@ -300,7 +300,7 @@ func TestServeRecordReplay(t *testing.T) {
 	if err := runServe("gnmt", 1, 8, 1, 300, "fixed", 0, 20000, nil, arrivalSpec{in: path}); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
-	if err := runFleet("gnmt", 1, 8, 1, 300, "wfq", 0, 20000, 2, "rr", 0, false, 0, nil, nil,
+	if err := runFleet("gnmt", 1, 8, 1, 300, "wfq", 0, 20000, 2, "rr", 0, false, nil, nil,
 		arrivalSpec{in: path}); err != nil {
 		t.Fatalf("fleet replay run: %v", err)
 	}

@@ -77,10 +77,6 @@ type FleetRequest struct {
 	QueueCap int `json:"queue_cap,omitempty"`
 	// Autoscale enables the reactive autoscaler.
 	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
-	// Parallelism > 1 advances independent replicas concurrently
-	// between routing barriers; the response is byte-identical to the
-	// serial default (0 or 1). Purely a speed knob for large fleets.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Disagg splits the fleet into prefill and decode pools joined by a
 	// handoff queue. Requires the KV model; incompatible with
 	// autoscaling.
@@ -159,8 +155,6 @@ func (s *Server) validateFleet(r FleetRequest) error {
 		return fmt.Errorf("replicas %d exceeds the %d-replica limit", r.Replicas, maxFleetReplicas)
 	case r.QueueCap < 0:
 		return fmt.Errorf("queue_cap must be non-negative, got %d", r.QueueCap)
-	case r.Parallelism < 0:
-		return fmt.Errorf("parallelism must be non-negative, got %d", r.Parallelism)
 	}
 	if r.Disagg != nil {
 		switch {
@@ -232,17 +226,16 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 
 	status, body := s.execute(r.Context(), coalesceKey("fleet", req), func() (int, []byte) {
 		res, err := serving.SimulateFleet(serving.FleetSpec{
-			Model:       workload.Model,
-			Trace:       trace,
-			Policy:      policy,
-			Router:      router,
-			Replicas:    req.Replicas,
-			QueueCap:    req.QueueCap,
-			Autoscale:   req.autoscaleConfig(),
-			Parallelism: req.Parallelism,
-			Profiles:    s.eng,
-			KV:          req.kvConfig(),
-			Disagg:      req.disaggConfig(),
+			Model:     workload.Model,
+			Trace:     trace,
+			Policy:    policy,
+			Router:    router,
+			Replicas:  req.Replicas,
+			QueueCap:  req.QueueCap,
+			Autoscale: req.autoscaleConfig(),
+			Profiles:  s.eng,
+			KV:        req.kvConfig(),
+			Disagg:    req.disaggConfig(),
 		}, hw)
 		if err != nil {
 			return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err)

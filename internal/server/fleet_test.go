@@ -117,6 +117,14 @@ func TestFleetHandlerTable(t *testing.T) {
 			wantStatus: http.StatusBadRequest,
 			wantInBody: "unknown field",
 		},
+		{
+			// The replica-advancement knob was removed with the parallel
+			// round loop; strict decoding names the retired field.
+			name:       "retired parallelism field rejected",
+			body:       `{"model":"gnmt","rate":100,"parallelism":2}`,
+			wantStatus: http.StatusBadRequest,
+			wantInBody: `unknown field \"parallelism\"`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

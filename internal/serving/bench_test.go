@@ -13,6 +13,7 @@ package serving
 // at millions of requests GC pressure dominates wall time.
 
 import (
+	"fmt"
 	"testing"
 
 	"seqpoint/internal/dataset"
@@ -163,5 +164,49 @@ func BenchmarkServingHotPath(b *testing.B) {
 		if sum.Requests != requests {
 			b.Fatalf("summary requests %d, want %d", sum.Requests, requests)
 		}
+	}
+}
+
+// BenchmarkFleetRoute is the routing rung of the layer ladder: ns per
+// arrival of a full least-routed fleet simulation on the stub source,
+// from 16 to 10,240 replicas. Every size serves the same 2^19 arrivals
+// at the same per-replica load (BenchmarkFleetMillionEvents' load
+// fraction), so what grows with R is the per-arrival cost of routing,
+// dispatch and completion bookkeeping — O(log R) with indexed routing.
+func BenchmarkFleetRoute(b *testing.B) {
+	const (
+		requests = 1 << 19
+		rateEach = 3_125 // req/s per replica, as in BenchmarkFleetMillionEvents
+	)
+	policy, err := NewDynamicBatch(16, 2_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, replicas := range []int{16, 128, 1024, 10240} {
+		b.Run(fmt.Sprintf("R=%d", replicas), func(b *testing.B) {
+			trace, err := PoissonTrace(benchCorpus(b), requests, float64(rateEach*replicas), 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := SimulateFleet(FleetSpec{
+					Model:    models.NewGNMT(),
+					Trace:    trace,
+					Policy:   policy,
+					Router:   NewLeastOutstanding(),
+					Replicas: replicas,
+					Profiles: &stubSource{},
+				}, gpusim.VegaFE())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := len(res.Requests); got != requests {
+					b.Fatalf("served %d of %d requests", got, requests)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requests), "ns/arrival")
+		})
 	}
 }

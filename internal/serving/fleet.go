@@ -22,14 +22,17 @@ import (
 // The event loop is indexed, not scanned: replica wake/finish times
 // live in a min-heap (fleetheap.go) and policy re-consults in a dirty
 // set, so one event costs O(log R) instead of O(R). Batch latencies
-// come from a flat price table (pricetable.go). Replicas can also be
-// advanced concurrently between routing barriers (fleetparallel.go)
-// when FleetSpec.Parallelism asks for it; every path produces the
-// same bytes.
+// come from a flat price table (pricetable.go). Routing is indexed
+// too: what a router reads is re-synced only where a replica changes,
+// never rebuilt per arrival. The bundled argmin routers pick from a
+// tournament tree over replica loads (routeindex.go); every other
+// router reads a persistent slice of replica views.
 
-// MaxFleetReplicas bounds the modeled fleet size; beyond it the O(N)
-// per-arrival routing scan stops being the simulation's cheap part.
-const MaxFleetReplicas = 1024
+// MaxFleetReplicas bounds the modeled fleet size. Indexed routing and
+// the event heap cost O(log R) per event; the bound keeps a spec's
+// per-replica state (and the slice routers' O(R) scans) sized for one
+// process.
+const MaxFleetReplicas = 16384
 
 // AutoscaleConfig is the reactive autoscaler: scale up when the mean
 // queue depth per live replica exceeds UpDepth, down when it falls
@@ -98,12 +101,6 @@ type FleetSpec struct {
 	// joined by a handoff queue (requires KV); nil keeps the aggregated
 	// topology where every replica runs both phases.
 	Disagg *DisaggConfig
-	// Parallelism > 1 advances independent replicas concurrently
-	// between routing barriers, producing byte-identical results to
-	// the serial loop (0 and 1 mean serial). Autoscaled fleets always
-	// run serially: the scaler reads every replica's queue at every
-	// event, so there is no independent stretch to parallelize.
-	Parallelism int
 	// Profiles overrides the profile source; nil uses the process
 	// default (the shared engine when internal/engine is linked).
 	Profiles trainer.ProfileSource
@@ -135,8 +132,6 @@ func (s FleetSpec) Validate() error {
 		return fmt.Errorf("serving: %d replicas exceeds the %d-replica limit", s.Replicas, MaxFleetReplicas)
 	case s.QueueCap < 0:
 		return fmt.Errorf("serving: queue capacity must be non-negative, got %d", s.QueueCap)
-	case s.Parallelism < 0:
-		return fmt.Errorf("serving: parallelism must be non-negative, got %d", s.Parallelism)
 	}
 	if s.Autoscale != nil {
 		if err := s.Autoscale.Validate(); err != nil {
@@ -263,32 +258,32 @@ type FleetResult struct {
 	Disagg string
 }
 
-// fleetReplica is one replica's mutable event-loop state.
+// fleetReplica is one replica's mutable event-loop state, per-event
+// fields first: a large fleet's replicas do not fit in cache, so each
+// event should touch as few of a replica's lines as it can.
 type fleetReplica struct {
 	id         int
-	cluster    gpusim.ClusterConfig
 	clusterIdx int // index into the price table's distinct clusters
 	live       bool
-
-	queue     []Request
-	busy      bool
-	startedAt float64
-	doneAt    float64
-	inflight  []Request // reused batch buffer; len 0 when idle
-	paddedSL  int
-
-	// wakeAt is the policy's requested re-consult deadline (+Inf when
-	// it only wants arrival/completion wake-ups); needConsult forces a
-	// consult at the next dispatch pass regardless of the deadline.
-	wakeAt      float64
+	busy       bool
+	// routable mirrors the replica's eligibility (live with queue
+	// room) as of its last view sync; the fleet's eligible count and
+	// post-pick check read it, never the router-visible slice.
+	routable bool
+	// needConsult forces a policy consult at the next dispatch pass
+	// regardless of wakeAt, the policy's requested re-consult deadline
+	// (+Inf when it only wants arrival/completion wake-ups).
 	needConsult bool
+	wakeAt      float64
 	// consults counts policy consultations since the replica last
 	// dispatched or grew its queue, bounding runaway wait loops.
 	consults int
 
-	// pickScratch is the replica-owned takeBatch index scratch, so
-	// concurrent replica advancement never shares sort buffers.
-	pickScratch []int
+	queue     []Request
+	inflight  []Request // reused batch buffer; len 0 when idle
+	startedAt float64
+	doneAt    float64
+	paddedSL  int
 
 	// KV-model state, all replica-local (zero with KV off):
 	// launchTimes/launchWaves describe the in-flight busy period,
@@ -301,6 +296,7 @@ type fleetReplica struct {
 	kvPeak      float64
 	preempts    int
 
+	gpus            int // the replica cluster's data-parallel width
 	served, batches int
 	busyUS          float64
 	liveUS          float64
@@ -311,11 +307,9 @@ type fleetReplica struct {
 // The event loop is fully deterministic: replica events pop from the
 // heap in (time, replica ID) order, arrivals are routed in trace
 // order, and the only randomness (po2 routing) is seeded. Profiling
-// parallelism — and replica-advancement parallelism
-// (FleetSpec.Parallelism) — changes how fast the answer is computed,
-// never an output byte. Each distinct replica cluster prefetches the
-// trace's unique SLs at the policy's max batch in one bulk
-// ProfileSource call.
+// parallelism changes how fast the answer is computed, never an output
+// byte. Each distinct replica cluster prefetches the trace's unique
+// SLs at the policy's max batch in one bulk ProfileSource call.
 func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -342,7 +336,7 @@ func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 	// observe).
 	var clusters []gpusim.ClusterConfig
 	clusterIdx := make(map[gpusim.ClusterConfig]int)
-	replicas := make([]*fleetReplica, allocated)
+	replicas := make([]fleetReplica, allocated)
 	for i := range replicas {
 		cl := gpusim.SingleGPU()
 		if len(spec.Clusters) > 0 {
@@ -354,7 +348,7 @@ func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 			clusters = append(clusters, cl)
 			clusterIdx[cl] = ci
 		}
-		replicas[i] = &fleetReplica{id: i, cluster: cl, clusterIdx: ci, live: i < spec.Replicas, wakeAt: math.Inf(1)}
+		replicas[i] = fleetReplica{id: i, gpus: cl.GPUs, clusterIdx: ci, live: i < spec.Replicas, wakeAt: math.Inf(1)}
 	}
 
 	prices, err := newPriceTable(src, hw, spec.Model, maxBatch, clusters, spec.Trace.UniqueSLs(), kv != nil)
@@ -378,10 +372,13 @@ func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 		},
 		heap:        newReplicaHeap(allocated),
 		inDirty:     make([]bool, allocated),
-		viewScratch: make([]ReplicaView, allocated),
+		index:       newRouteIndex(spec.Router, allocated),
+		waitPos:     make([]int, allocated),
 		served:      make([]RequestMetric, len(spec.Trace.Requests)),
-		isServed:    make([]bool, len(spec.Trace.Requests)),
 		lastScaleAt: math.Inf(-1),
+	}
+	if f.index == nil {
+		f.views = make([]ReplicaView, allocated)
 	}
 	if err := f.run(); err != nil {
 		return nil, err
@@ -392,7 +389,7 @@ func SimulateFleet(spec FleetSpec, hw gpusim.Config) (*FleetResult, error) {
 // fleetRun is the in-progress event loop state.
 type fleetRun struct {
 	spec     FleetSpec
-	replicas []*fleetReplica
+	replicas []fleetReplica
 	prices   *priceTable
 	maxBatch int
 	kv       *kvState // nil = KV model off (the pre-KV code path)
@@ -410,22 +407,31 @@ type fleetRun struct {
 	inDirty   []bool
 	busyCount int
 
-	// viewScratch is the reused router-snapshot buffer; dlogScratch
-	// the reused barrier-merge dispatch log (parallel rounds only).
-	viewScratch []ReplicaView
-	dlogScratch []dispatchRec
+	// eligible counts routable replicas. index serves the bundled
+	// argmin routers in O(log R); every other router reads views, the
+	// router-visible fleet state (nil with an index). syncView keeps
+	// all three current at every replica change.
+	eligible int
+	index    *routeIndex
+	views    []ReplicaView
+	// waiting lists the live idle replicas with queued work, in no
+	// particular order — the ones a drained trace must re-consult;
+	// waitPos[id] is id's slot in it, -1 when absent.
+	waiting []int
+	waitPos []int
+
+	// pickScratch is the reused takeBatch index scratch.
+	pickScratch []int
 
 	served      []RequestMetric
-	isServed    []bool
 	lastScaleAt float64
 }
 
 func (f *fleetRun) run() error {
 	trace := f.spec.Trace.Requests
-	if f.roundWorkers() > 1 {
-		if err := f.runRounds(); err != nil {
-			return err
-		}
+	for i := range f.replicas {
+		f.waitPos[i] = -1
+		f.syncView(&f.replicas[i])
 	}
 	for f.done < len(trace) {
 		if err := f.dispatchDirty(); err != nil {
@@ -451,7 +457,8 @@ func (f *fleetRun) run() error {
 	}
 	// Retire live-time integrals at the end of the run.
 	end := f.endTime()
-	for _, r := range f.replicas {
+	for i := range f.replicas {
+		r := &f.replicas[i]
 		if r.live {
 			r.liveUS += end - r.liveSince
 		}
@@ -514,7 +521,7 @@ func (f *fleetRun) dispatchDirty() error {
 	nextArrival := f.nextArrivalUS()
 	for _, id := range f.dirty {
 		f.inDirty[id] = false
-		r := f.replicas[id]
+		r := &f.replicas[id]
 		if !r.live || r.busy || len(r.queue) == 0 {
 			continue
 		}
@@ -551,28 +558,15 @@ func (f *fleetRun) dispatchDirty() error {
 	return nil
 }
 
-// launch prices and starts one batch on r at the current clock.
+// launch moves the policy's pick into r's in-flight batch at the clock
+// and prices its busy period — a single pad-to-max price on the
+// compute-only path, a prefill/decode wave plan under the KV model
+// (which may evict part of the pick back to the queue).
 func (f *fleetRun) launch(r *fleetReplica, pick []int) error {
-	lat, err := f.startBatch(r, pick, f.clock)
+	batch, scratch, err := takeBatch(r.inflight, &r.queue, pick, f.pickScratch, f.maxBatch, f.res.Policy)
+	f.pickScratch = scratch
 	if err != nil {
 		return err
-	}
-	f.res.BusyUS += lat
-	f.busyCount++
-	return nil
-}
-
-// startBatch moves the policy's pick into r's in-flight batch at time
-// now and prices its busy period — a single pad-to-max price on the
-// compute-only path, a prefill/decode wave plan under the KV model
-// (which may evict part of the pick back to the queue). Every effect
-// is replica-local; callers account the global busy time and busy
-// count in their own (serial or barrier-merged) order.
-func (f *fleetRun) startBatch(r *fleetReplica, pick []int, now float64) (float64, error) {
-	batch, scratch, err := takeBatch(r.inflight, &r.queue, pick, r.pickScratch, f.maxBatch, f.spec.Policy.Name())
-	r.pickScratch = scratch
-	if err != nil {
-		return 0, err
 	}
 	r.inflight = batch
 	var lat float64
@@ -584,14 +578,14 @@ func (f *fleetRun) startBatch(r *fleetReplica, pick []int, now float64) (float64
 			}
 		}
 		if lat, err = f.prices.latency(r.clusterIdx, len(batch), paddedSL); err != nil {
-			return 0, err
+			return err
 		}
 		r.paddedSL = paddedSL
 	} else {
 		plan, times, err := f.kv.plan(f.prices, r.clusterIdx, batch, r.launchTimes)
 		r.launchTimes = times
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if plan.keep < len(batch) {
 			// Eviction: the displaced suffix rejoins the queue front so
@@ -611,16 +605,19 @@ func (f *fleetRun) startBatch(r *fleetReplica, pick []int, now float64) (float64
 		r.kvInflight = plan.keptKV
 	}
 	r.busy = true
-	r.startedAt = now
-	r.doneAt = now + lat
+	r.startedAt = f.clock
+	r.doneAt = f.clock + lat
 	// Accumulate the priced latency itself, in dispatch order — not
 	// doneAt-startedAt, whose float rounding would break the byte-exact
 	// equivalence with the single-queue loop.
 	r.busyUS += lat
+	f.res.BusyUS += lat
+	f.busyCount++
 	r.wakeAt = math.Inf(1)
 	r.needConsult = false
 	r.consults = 0
-	return lat, nil
+	f.syncView(r)
+	return nil
 }
 
 // drainDue pops every replica event at or before the clock: batch
@@ -632,7 +629,7 @@ func (f *fleetRun) drainDue() {
 		if f.heap.keys[id] > f.clock {
 			break
 		}
-		r := f.replicas[id]
+		r := &f.replicas[id]
 		if r.busy {
 			f.completeReplica(r)
 			f.refreshKey(r)
@@ -648,30 +645,10 @@ func (f *fleetRun) drainDue() {
 }
 
 // completeReplica retires r's in-flight batch at the clock, recording
-// per-request metrics.
+// per-request metrics and counting the priced batches its busy period
+// contained (capacity waves under the KV model, 1 otherwise).
 func (f *fleetRun) completeReplica(r *fleetReplica) {
-	n, waves := f.retireBatch(r)
-	f.done += n
-	f.res.Batches += waves
-	if r.doneAt > f.res.MakespanUS {
-		f.res.MakespanUS = r.doneAt
-	}
-	f.busyCount--
-	if len(r.queue) > 0 {
-		r.needConsult = true
-		f.markDirty(r.id)
-	} else {
-		r.needConsult = false
-	}
-}
-
-// retireBatch writes r's completed per-request metrics and resets its
-// in-flight state, returning the request count and the number of
-// priced batches the busy period contained (capacity waves under the
-// KV model, 1 otherwise). Every effect is replica-local or a disjoint
-// per-request slot write, so the serial and parallel completion paths
-// share it.
-func (f *fleetRun) retireBatch(r *fleetReplica) (n, waves int) {
+	waves := 1
 	if f.kv == nil {
 		for _, q := range r.inflight {
 			f.served[q.ID] = RequestMetric{
@@ -685,9 +662,7 @@ func (f *fleetRun) retireBatch(r *fleetReplica) (n, waves int) {
 				Replica:   r.id,
 				Tenant:    q.Tenant,
 			}
-			f.isServed[q.ID] = true
 		}
-		waves = 1
 	} else {
 		for i, q := range r.inflight {
 			t := r.launchTimes[i]
@@ -703,17 +678,29 @@ func (f *fleetRun) retireBatch(r *fleetReplica) (n, waves int) {
 				Replica:   r.id,
 				Tenant:    q.Tenant,
 			}
-			f.isServed[q.ID] = true
 		}
 		waves = r.launchWaves
 		r.kvInflight = 0
 	}
-	n = len(r.inflight)
+	n := len(r.inflight)
 	r.served += n
 	r.batches += waves
 	r.busy = false
 	r.inflight = r.inflight[:0]
-	return n, waves
+	f.syncView(r)
+
+	f.done += n
+	f.res.Batches += waves
+	if r.doneAt > f.res.MakespanUS {
+		f.res.MakespanUS = r.doneAt
+	}
+	f.busyCount--
+	if len(r.queue) > 0 {
+		r.needConsult = true
+		f.markDirty(r.id)
+	} else {
+		r.needConsult = false
+	}
 }
 
 // routeArrivals admits every arrival at or before the clock, in trace
@@ -721,94 +708,102 @@ func (f *fleetRun) retireBatch(r *fleetReplica) (n, waves int) {
 // none has room the request is rejected. Under the KV model a request
 // whose own cache footprint exceeds the capacity is rejected outright
 // (no replica could ever serve it), and a router that returns an
-// ineligible replica fails the run with ErrBadRoute. The fleet
-// snapshot is built once per pass in the reused scratch buffer and
-// updated in place as arrivals land.
+// ineligible replica fails the run with ErrBadRoute. The bundled
+// argmin routers pick from the route index; every other router reads
+// the persistent views.
 func (f *fleetRun) routeArrivals() error {
 	trace := f.spec.Trace.Requests
-	var (
-		views    []ReplicaView
-		eligible int
-	)
 	for f.next < len(trace) && trace[f.next].ArrivalUS <= f.clock {
 		req := trace[f.next]
 		f.next++
-		if f.kv != nil && f.kv.peakBytes(req) > f.kv.capacity {
+		reason := ""
+		switch {
+		case f.kv != nil && f.kv.peakBytes(req) > f.kv.capacity:
+			reason = RejectReasonKVCapacity
+		case f.eligible == 0:
+			reason = RejectReasonQueueFull
+		}
+		if reason != "" {
 			f.res.Rejections = append(f.res.Rejections, Rejection{
-				ID: req.ID, ArrivalUS: req.ArrivalUS, SeqLen: req.SeqLen, Reason: RejectReasonKVCapacity, Tenant: req.Tenant,
+				ID: req.ID, ArrivalUS: req.ArrivalUS, SeqLen: req.SeqLen, Reason: reason, Tenant: req.Tenant,
 			})
 			f.done++
 			continue
 		}
-		if views == nil {
-			views, eligible = f.views()
+		var id int
+		if f.index != nil {
+			id = f.index.pick()
+		} else {
+			id = f.spec.Router.Route(req, f.views)
 		}
-		if eligible == 0 {
-			f.res.Rejections = append(f.res.Rejections, Rejection{
-				ID: req.ID, ArrivalUS: req.ArrivalUS, SeqLen: req.SeqLen, Reason: RejectReasonQueueFull, Tenant: req.Tenant,
-			})
-			f.done++
-			continue
-		}
-		id := f.spec.Router.Route(req, views)
-		if id < 0 || id >= len(f.replicas) || !views[id].eligible() {
+		if id < 0 || id >= len(f.replicas) || !f.replicas[id].routable {
 			return fmt.Errorf("%w: router %q picked replica %d for request %d at %v with %d eligible replicas",
-				ErrBadRoute, f.spec.Router.Name(), id, req.ID, req.ArrivalUS, eligible)
+				ErrBadRoute, f.spec.Router.Name(), id, req.ID, req.ArrivalUS, f.eligible)
 		}
-		r := f.replicas[id]
+		r := &f.replicas[id]
 		r.queue = append(r.queue, req)
 		r.needConsult = true
 		r.consults = 0
 		f.markDirty(id)
-		// Only the routed replica's view changed; update it in place.
-		views[id].Queued++
 		if f.kv != nil {
-			need := f.kv.peakBytes(req)
-			r.kvQueued += need
-			views[id].KVBytes += need
+			r.kvQueued += f.kv.peakBytes(req)
 		}
-		if f.spec.QueueCap != 0 && len(r.queue) >= f.spec.QueueCap {
-			if views[id].eligible() {
-				eligible--
-			}
-			views[id].HasRoom = false
-		}
+		f.syncView(r)
 	}
 	if f.next == len(trace) {
 		// Trace drained: policies waiting for more arrivals must be
 		// re-consulted so partial batches flush.
-		for _, r := range f.replicas {
-			if r.live && !r.busy && len(r.queue) > 0 {
-				r.needConsult = true
-				f.markDirty(r.id)
-			}
+		for _, id := range f.waiting {
+			f.replicas[id].needConsult = true
+			f.markDirty(id)
 		}
 	}
 	return nil
 }
 
-// views snapshots the fleet for the router into the reused scratch
-// buffer and counts eligible replicas. The returned slice is only
-// valid until the next call.
-func (f *fleetRun) views() ([]ReplicaView, int) {
-	views := f.viewScratch
-	eligible := 0
-	for i, r := range f.replicas {
-		views[i] = ReplicaView{
-			ID:       i,
+// syncView refreshes what routing reads of replica r — its eligibility
+// and the eligible count, then its route-index key or, for slice
+// routers, its view — and its waiting-set membership, after any change
+// to r's liveness, queue, in-flight batch or cache pressure. Eligibility
+// comes from r itself and the view slot is rewritten whole, so a router
+// that wrote into the slice it was handed cannot skew the fleet's own
+// bookkeeping.
+func (f *fleetRun) syncView(r *fleetReplica) {
+	hasRoom := f.spec.QueueCap == 0 || len(r.queue) < f.spec.QueueCap
+	if ok := r.live && hasRoom; ok != r.routable {
+		r.routable = ok
+		if ok {
+			f.eligible++
+		} else {
+			f.eligible--
+		}
+	}
+	if f.index != nil {
+		f.index.set(r, r.routable)
+	} else {
+		f.views[r.id] = ReplicaView{
+			ID:       r.id,
 			Live:     r.live,
 			Queued:   len(r.queue),
 			InFlight: len(r.inflight),
-			HasRoom:  f.spec.QueueCap == 0 || len(r.queue) < f.spec.QueueCap,
+			HasRoom:  hasRoom,
 		}
 		if f.kv != nil {
-			views[i].KVBytes = r.kvQueued + r.kvInflight
-		}
-		if views[i].eligible() {
-			eligible++
+			f.views[r.id].KVBytes = r.kvQueued + r.kvInflight
 		}
 	}
-	return views, eligible
+	if pos := f.waitPos[r.id]; (r.live && !r.busy && len(r.queue) > 0) != (pos >= 0) {
+		if pos < 0 {
+			f.waitPos[r.id] = len(f.waiting)
+			f.waiting = append(f.waiting, r.id)
+		} else {
+			last := f.waiting[len(f.waiting)-1]
+			f.waiting[pos] = last
+			f.waitPos[last] = pos
+			f.waiting = f.waiting[:len(f.waiting)-1]
+			f.waitPos[r.id] = -1
+		}
+	}
 }
 
 // autoscale evaluates the reactive scaler at the current event: at
@@ -819,7 +814,8 @@ func (f *fleetRun) autoscale() {
 		return
 	}
 	live, queued := 0, 0
-	for _, r := range f.replicas {
+	for i := range f.replicas {
+		r := &f.replicas[i]
 		if r.live {
 			live++
 			queued += len(r.queue)
@@ -829,10 +825,12 @@ func (f *fleetRun) autoscale() {
 	switch {
 	case depth > cfg.UpDepth && live < cfg.Max:
 		// Activate the lowest-index dormant replica.
-		for _, r := range f.replicas {
+		for i := range f.replicas {
+			r := &f.replicas[i]
 			if !r.live {
 				r.live = true
 				r.liveSince = f.clock
+				f.syncView(r)
 				f.res.ScaleUps++
 				f.lastScaleAt = f.clock
 				if live+1 > f.res.PeakReplicas {
@@ -845,10 +843,11 @@ func (f *fleetRun) autoscale() {
 		// Retire the highest-index live replica that is idle with an
 		// empty queue; if none qualifies, skip this evaluation.
 		for i := len(f.replicas) - 1; i >= 0; i-- {
-			r := f.replicas[i]
+			r := &f.replicas[i]
 			if r.live && !r.busy && len(r.queue) == 0 {
 				r.live = false
 				r.liveUS += f.clock - r.liveSince
+				f.syncView(r)
 				f.res.ScaleDowns++
 				f.lastScaleAt = f.clock
 				return
@@ -860,11 +859,12 @@ func (f *fleetRun) autoscale() {
 // finalize compacts per-request metrics and per-replica stats into the
 // result. The served buffer is compacted in place — metrics are
 // already in trace-ID order — so the result borrows it instead of
-// copying a second multi-million-entry slice.
+// copying a second multi-million-entry slice. A served metric always
+// has a batch of at least one; a rejected request's slot stays zero.
 func (f *fleetRun) finalize() {
 	k := 0
-	for id, ok := range f.isServed {
-		if ok {
+	for id := range f.served {
+		if f.served[id].BatchSize > 0 {
 			f.served[k] = f.served[id]
 			k++
 		}
@@ -872,10 +872,11 @@ func (f *fleetRun) finalize() {
 	f.res.Requests = f.served[:k]
 	f.res.ReplicaStats = make([]ReplicaStats, len(f.replicas))
 	var replicaUS float64
-	for i, r := range f.replicas {
+	for i := range f.replicas {
+		r := &f.replicas[i]
 		f.res.ReplicaStats[i] = ReplicaStats{
 			Replica:     i,
-			GPUs:        r.cluster.GPUs,
+			GPUs:        r.gpus,
 			Served:      r.served,
 			Batches:     r.batches,
 			BusyUS:      r.busyUS,
@@ -887,10 +888,10 @@ func (f *fleetRun) finalize() {
 	}
 	f.res.ReplicaSeconds = replicaUS / 1e6
 	if f.kv != nil {
-		// Per-replica counters summed in replica order: order-free
-		// integers and a max, so the parallel path cannot perturb them.
+		// Per-replica counters summed in replica order.
 		kvs := &KVRunStats{BytesPerToken: f.kv.bpt, CapacityBytes: f.kv.capacity}
-		for _, r := range f.replicas {
+		for i := range f.replicas {
+			r := &f.replicas[i]
 			kvs.Preemptions += r.preempts
 			if r.kvPeak > kvs.PeakBytes {
 				kvs.PeakBytes = r.kvPeak

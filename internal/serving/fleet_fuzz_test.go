@@ -32,6 +32,8 @@ import (
 //     fleet totals), and — for tenant-agnostic policies — the
 //     untenanted shadow of the trace reproduces the summary byte-for-
 //     byte outside the per-tenant block;
+//   - indexing: the bundled argmin routers give the same bytes from
+//     the route index as from the slice path;
 //   - generalization: a 1-replica round-robin unbounded fleet matches
 //     the single-queue simulator byte-for-byte, KV model included.
 func FuzzFleetInvariants(f *testing.F) {
@@ -265,33 +267,31 @@ func FuzzFleetInvariants(f *testing.F) {
 			t.Fatal("KV-disabled run produced KV stats")
 		}
 
-		// Parallel advancement (Parallelism > 1) must reproduce the
-		// serial loop byte-for-byte on non-autoscaled fleets — same
-		// summary and same per-request metrics. A fresh router is built
-		// for the re-run because routers carry deterministic state (the
-		// round-robin cursor, po2's seeded RNG).
-		if spec.Autoscale == nil {
-			prouter, err := ParseRouting(routerNames[int(routing)%len(routerNames)], seed)
+		// Indexed routing must reproduce the slice path byte-for-byte:
+		// the bundled argmin routers re-run wrapped in a delegating
+		// router, which the fleet serves from the views slice instead
+		// of its route index.
+		if newRouteIndex(router, nReplicas) != nil {
+			wrouter, err := ParseRouting(router.Name(), seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pspec := spec
-			pspec.Router = prouter
-			pspec.Parallelism = int(n)%3 + 2
-			pres, err := SimulateFleet(pspec, gpusim.VegaFE())
+			wspec := spec
+			wspec.Router = sliceRouter{wrouter}
+			wres, err := SimulateFleet(wspec, gpusim.VegaFE())
 			if err != nil {
-				t.Fatalf("parallel SimulateFleet: %v", err)
+				t.Fatalf("slice-path SimulateFleet: %v", err)
 			}
 			want, _ := res.Summary().Serialize()
-			got, _ := pres.Summary().Serialize()
+			got, _ := wres.Summary().Serialize()
 			if !bytes.Equal(got, want) {
-				t.Fatalf("parallelism %d diverged from serial:\n%s\nvs\n%s", pspec.Parallelism, got, want)
+				t.Fatalf("slice path diverged from the route index:\n%s\nvs\n%s", got, want)
 			}
-			if !reflect.DeepEqual(res.Requests, pres.Requests) {
-				t.Fatalf("parallelism %d produced different per-request metrics", pspec.Parallelism)
+			if !reflect.DeepEqual(res.Requests, wres.Requests) {
+				t.Fatal("slice path produced different per-request metrics")
 			}
-			if !reflect.DeepEqual(res.Rejections, pres.Rejections) {
-				t.Fatalf("parallelism %d produced different rejections", pspec.Parallelism)
+			if !reflect.DeepEqual(res.Rejections, wres.Rejections) {
+				t.Fatal("slice path produced different rejections")
 			}
 		}
 

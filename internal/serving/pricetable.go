@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"seqpoint/internal/gpusim"
 	"seqpoint/internal/models"
@@ -42,9 +41,8 @@ const decodeSL = 1
 //
 // Unfilled slots hold NaN — a value no valid profile can produce
 // (fills reject non-finite prices with ErrNonFinitePrice), so presence
-// needs no side bitmap. On-demand fills are guarded by a mutex so
-// parallel replica simulation (see FleetSpec.Parallelism) can price
-// concurrently.
+// needs no side bitmap. A table belongs to one simulation and is used
+// from its goroutine only.
 type priceTable struct {
 	src      trainer.ProfileSource
 	hw       gpusim.Config
@@ -62,7 +60,6 @@ type priceTable struct {
 	slSparse map[int]int
 	numSL    int
 
-	mu     sync.RWMutex
 	prices []float64 // [cluster][batch-1][slIdx], NaN = unfilled
 	decode []float64 // [cluster][batch-1] per-decode-step latency; nil when KV is off
 }
@@ -134,7 +131,7 @@ func newPriceTable(src trainer.ProfileSource, hw gpusim.Config, model models.Mod
 			}
 		}
 		if withDecode {
-			if _, err := t.fillDecode(ci, maxBatch); err != nil {
+			if _, err := t.decodeLatency(ci, maxBatch); err != nil {
 				return nil, err
 			}
 		}
@@ -164,24 +161,10 @@ func (t *priceTable) latency(clusterIdx, batch, sl int) (float64, error) {
 		// A padded SL outside the trace's SL set cannot arise from the
 		// bundled event loops (the padded SL is some request's SL), but a
 		// direct uncached price keeps hypothetical callers correct.
-		t.mu.Lock()
-		us, err := t.fetch(clusterIdx, batch, sl)
-		t.mu.Unlock()
-		return us, err
+		return t.fetch(clusterIdx, batch, sl)
 	}
 	off := (clusterIdx*t.maxBatch+batch-1)*t.numSL + si - 1
-	t.mu.RLock()
-	us := t.prices[off]
-	t.mu.RUnlock()
-	if !math.IsNaN(us) {
-		return us, nil
-	}
-	// Fill misses under the write lock: besides guarding the slot, this
-	// serializes all on-demand ProfileSource calls, so sources need not
-	// be thread-safe even when replicas advance concurrently.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if us = t.prices[off]; !math.IsNaN(us) {
+	if us := t.prices[off]; !math.IsNaN(us) {
 		return us, nil
 	}
 	us, err := t.fetch(clusterIdx, batch, sl)
@@ -196,22 +179,6 @@ func (t *priceTable) latency(clusterIdx, batch, sl int) (float64, error) {
 // clusterIdx: the forward cost of one new token per sequence. Only
 // valid on tables built with withDecode.
 func (t *priceTable) decodeLatency(clusterIdx, batch int) (float64, error) {
-	off := clusterIdx*t.maxBatch + batch - 1
-	t.mu.RLock()
-	us := t.decode[off]
-	t.mu.RUnlock()
-	if !math.IsNaN(us) {
-		return us, nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fillDecode(clusterIdx, batch)
-}
-
-// fillDecode fetches and stores the per-step decode price for one
-// (cluster, batch); callers must hold the write lock (or be the
-// single-threaded constructor).
-func (t *priceTable) fillDecode(clusterIdx, batch int) (float64, error) {
 	off := clusterIdx*t.maxBatch + batch - 1
 	if us := t.decode[off]; !math.IsNaN(us) {
 		return us, nil

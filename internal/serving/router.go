@@ -44,12 +44,21 @@ func (v ReplicaView) Outstanding() int { return v.Queued + v.InFlight }
 
 // Router picks the replica each arriving request joins. Route is
 // called once per admitted arrival, in strict arrival order, with the
-// full fleet view; at least one replica is eligible (Live && HasRoom —
-// when none is, the fleet rejects the request without consulting the
-// router). Route must return an eligible replica's ID. Routers may
-// keep deterministic internal state (a rotation cursor, a seeded RNG);
-// given the same construction and call sequence they must make the
-// same picks, which keeps fleet summaries byte-identical across runs.
+// full fleet view, indexed by replica ID; at least one replica is
+// eligible (Live && HasRoom — when none is, the fleet rejects the
+// request without consulting the router). The slice is read-only and
+// valid only during the call: the fleet reuses it across arrivals and
+// checks the pick against its own replica state, so writing into it
+// cannot make an ineligible pick stick. Route must return an eligible
+// replica's ID. Routers may keep deterministic internal state (a
+// rotation cursor, a seeded RNG); given the same construction and call
+// sequence they must make the same picks, which keeps fleet summaries
+// byte-identical across runs.
+//
+// The fleet serves the bundled least, jsq and kv routers from its own
+// O(log R) index instead of calling Route, with identical picks; every
+// other router, including one that wraps a bundled router, is called
+// with the slice.
 type Router interface {
 	// Name labels the router in reports ("rr", "jsq", "po2(seed=7)").
 	Name() string

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -422,6 +423,52 @@ func TestSimulateThroughEngineDeterministic(t *testing.T) {
 		}
 		if string(buf) != string(ref) {
 			t.Errorf("summary at parallelism %d differs:\n%s\nvs\n%s", par, buf, ref)
+		}
+	}
+}
+
+// TestTakeBatchScratch pins the scratch-based takeBatch against the
+// validation contract: out-of-range, duplicate, oversized and empty
+// picks fail; valid picks extract in queue order and preserve the
+// remaining queue's order.
+func TestTakeBatchScratch(t *testing.T) {
+	mkQueue := func() []Request {
+		q := make([]Request, 6)
+		for i := range q {
+			q[i] = Request{ID: i, SeqLen: 10 + i}
+		}
+		return q
+	}
+	var scratch []int
+	var dst []Request
+
+	queue := mkQueue()
+	batch, scratch, err := takeBatch(dst[:0], &queue, []int{4, 0, 2}, scratch, 8, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(batch[0].ID, batch[1].ID, batch[2].ID) != "0 2 4" {
+		t.Fatalf("batch order %v, want IDs 0 2 4", batch)
+	}
+	if fmt.Sprint(queue[0].ID, queue[1].ID, queue[2].ID) != "1 3 5" || len(queue) != 3 {
+		t.Fatalf("remaining queue %v, want IDs 1 3 5", queue)
+	}
+
+	for name, pick := range map[string][]int{
+		"empty":      {},
+		"dup":        {1, 1},
+		"oob":        {0, 9},
+		"neg":        {-1},
+		"oversized":  {0, 1, 2},
+		"dup_spread": {2, 0, 2},
+	} {
+		queue := mkQueue()
+		max := 8
+		if name == "oversized" {
+			max = 2
+		}
+		if _, _, err := takeBatch(batch[:0], &queue, pick, scratch, max, "test"); err == nil {
+			t.Fatalf("%s pick accepted", name)
 		}
 	}
 }

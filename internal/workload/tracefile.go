@@ -29,6 +29,11 @@ const TraceVersion = 1
 // traceMagic guards against feeding arbitrary JSON-lines files in.
 const traceMagic = "seqpoint-workload-trace"
 
+// maxTracePrealloc caps the requests ReadTrace preallocates from a
+// header's declared count, so a tiny file cannot demand a huge
+// allocation before its lines are read.
+const maxTracePrealloc = 4096
+
 // traceHeader is the first line of a trace file.
 type traceHeader struct {
 	Magic    string `json:"magic"`
@@ -106,7 +111,9 @@ func ReadTrace(r io.Reader) (Trace, error) {
 	if hdr.Requests < 0 {
 		return Trace{}, fmt.Errorf("%w: header declares %d requests", ErrBadTrace, hdr.Requests)
 	}
-	reqs := make([]Request, 0, hdr.Requests)
+	// The header count is untrusted: preallocate at most a small
+	// prefix of it and let the slice grow with the lines that arrive.
+	reqs := make([]Request, 0, min(hdr.Requests, maxTracePrealloc))
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

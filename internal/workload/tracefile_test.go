@@ -156,3 +156,61 @@ func TestSaveLoadTrace(t *testing.T) {
 		t.Fatal("LoadTrace succeeded on a missing file")
 	}
 }
+
+// TestReadTraceHugeDeclaredCount is the regression test for a header
+// that declares far more requests than the file holds: ReadTrace used
+// to preallocate the declared count, so an 80-byte file declaring 1e14
+// requests panicked with "makeslice: cap out of range".
+func TestReadTraceHugeDeclaredCount(t *testing.T) {
+	file := `{"magic":"seqpoint-workload-trace","version":1,"requests":100000000000000}` + "\n"
+	if len(file) > 80 {
+		t.Fatalf("test file is %d bytes, want at most 80", len(file))
+	}
+	_, err := ReadTrace(strings.NewReader(file))
+	if !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("error = %v, want ErrBadTrace", err)
+	}
+	if !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("error %q should report the count mismatch", err)
+	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes to the trace decoder: it must
+// return a typed ErrBadTrace or a valid trace that round-trips through
+// WriteTrace unchanged, and never panic or allocate from an untrusted
+// count.
+func FuzzReadTrace(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, Trace{Name: "seed", Requests: []Request{
+		{ID: 0, ArrivalUS: 0, SeqLen: 8, Tenant: "a"},
+		{ID: 1, ArrivalUS: 12.5, SeqLen: 3, DecodeSteps: 4},
+	}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"magic":"seqpoint-workload-trace","version":1,"requests":100000000000000}` + "\n"))
+	f.Add([]byte(`{"magic":"seqpoint-workload-trace","version":1,"requests":1}` + "\n\n" + `{"id":0,"arrival_us":0,"seqlen":8}`))
+	f.Add([]byte(`{"magic":"seqpoint-workload-trace","version":1,"requests":-3}`))
+	f.Add([]byte("hello\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("error %v does not wrap ErrBadTrace", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteTrace(&out, tr); err != nil {
+			t.Fatalf("a trace ReadTrace accepted does not write back: %v", err)
+		}
+		again, err := ReadTrace(&out)
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v", err)
+		}
+		if !reflect.DeepEqual(tr, again) {
+			t.Fatalf("trace changed across a write/read round trip:\n%+v\nvs\n%+v", tr, again)
+		}
+	})
+}

@@ -47,9 +47,6 @@ type (
 // reproduces SimulateServing byte-for-byte (FleetResult.AsServing).
 type (
 	// FleetSpec describes one multi-replica serving simulation.
-	// Parallelism > 1 advances independent replicas concurrently
-	// between routing barriers — purely a speed knob; the result is
-	// byte-identical to the serial default.
 	FleetSpec = serving.FleetSpec
 	// FleetResult is a fleet simulation's full outcome.
 	FleetResult = serving.FleetResult
@@ -62,7 +59,10 @@ type (
 	FleetRejection = serving.Rejection
 	// FleetAutoscale configures the reactive queue-depth autoscaler.
 	FleetAutoscale = serving.AutoscaleConfig
-	// FleetRouter assigns each arriving request to a replica.
+	// FleetRouter assigns each arriving request to a replica. The
+	// bundled least, jsq and kv routers are served from an O(log R)
+	// index; any other router, including a wrapper around a bundled
+	// one, reads the replica view slice.
 	FleetRouter = serving.Router
 	// FleetReplicaView is the router-visible state of one replica.
 	FleetReplicaView = serving.ReplicaView
